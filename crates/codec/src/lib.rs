@@ -1,8 +1,10 @@
 //! # ff-codec
 //!
 //! The shared binary-codec machinery behind the workspace's `FF8*` artifact
-//! family: the `FF8S` frozen-model format (`ff-serve`) and the `FF8C`
-//! training-checkpoint format (`ff-core`).
+//! family: the `FF8S` frozen-model format (`ff-serve`), the `FF8C`
+//! training-checkpoint format (`ff-core`) and the `FF8P`/`FF8D` wire
+//! protocols (`ff-net`, `ff-dist`), which also share this crate's stream
+//! [`frame`]-ing, its [`fuzz`] harness and [`constant_time_eq`].
 //!
 //! Both formats follow the same conventions, which this crate encodes once:
 //!
@@ -49,6 +51,9 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
+
+pub mod frame;
+pub mod fuzz;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CodecError>;
@@ -421,6 +426,28 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Bytes both inputs of [`constant_time_eq`] are at least scanned over —
+/// the `FF8P` auth-token bound, so any token up to that length compares
+/// in the same time.
+const CONSTANT_TIME_SCAN_BYTES: usize = 128;
+
+/// Compares two byte strings (shared secrets) in time independent of their
+/// contents and of where the first difference sits.
+///
+/// Both inputs are scanned over at least 128 bytes (the `FF8P` auth-token
+/// bound), accumulating differences (including the length difference) into
+/// one OR-fold that is inspected only once at the end — no early exit, no
+/// data-dependent branch.
+pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
+    let mut diff = a.len() ^ b.len();
+    for i in 0..CONSTANT_TIME_SCAN_BYTES.max(a.len()).max(b.len()) {
+        let x = a.get(i).copied().unwrap_or(0);
+        let y = b.get(i).copied().unwrap_or(0);
+        diff |= usize::from(x ^ y);
+    }
+    diff == 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,5 +615,34 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn constant_time_eq_agrees_with_plain_equality() {
+        let cases: &[(&str, &str)] = &[
+            ("", ""),
+            ("a", "a"),
+            ("a", "b"),
+            ("a", ""),
+            ("", "a"),
+            ("secret", "secret"),
+            ("secret", "secres"),
+            ("secret", "secrets"),
+            ("secret", "Secret"),
+            ("aaaaaaaaaaaaaaaa", "aaaaaaaaaaaaaaaa"),
+        ];
+        for (a, b) in cases {
+            assert_eq!(
+                constant_time_eq(a.as_bytes(), b.as_bytes()),
+                a == b,
+                "{a:?} vs {b:?}"
+            );
+        }
+        // Longer than the scan bound still compares correctly.
+        let long_a = "x".repeat(CONSTANT_TIME_SCAN_BYTES + 10);
+        let mut long_b = long_a.clone();
+        assert!(constant_time_eq(long_a.as_bytes(), long_b.as_bytes()));
+        long_b.replace_range(long_b.len() - 1.., "y");
+        assert!(!constant_time_eq(long_a.as_bytes(), long_b.as_bytes()));
     }
 }

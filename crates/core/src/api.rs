@@ -6,7 +6,6 @@ use crate::Result;
 use ff_data::Dataset;
 use ff_metrics::TrainingHistory;
 use ff_nn::Sequential;
-use serde::{Deserialize, Serialize};
 
 /// Trains `net` on `train_set` with the requested algorithm and returns the
 /// per-epoch history (the same network is used for evaluation on `test_set`).
@@ -51,7 +50,7 @@ pub fn train(
 
 /// A training run bundled with the algorithm that produced it — the unit the
 /// experiment harness aggregates into the paper's tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingReport {
     /// Label of the training algorithm (e.g. `"FF-INT8"`).
     pub algorithm: String,

@@ -1,12 +1,11 @@
 //! Training configuration shared by all algorithms.
 
 use crate::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Numeric precision of the training arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// 32-bit floating point.
     #[default]
@@ -16,7 +15,7 @@ pub enum Precision {
 }
 
 /// The training algorithms evaluated in the paper's Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Standard backpropagation in FP32 (baseline).
     BpFp32,
@@ -163,7 +162,7 @@ impl Algorithm {
 /// resumed run continues the exact same update trajectory. A checkpoint
 /// whose optimizer state disagrees with the configured kind fails resume
 /// with a typed [`CoreError::CheckpointMismatch`], never a silent skip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptimizerKind {
     /// Stochastic gradient descent with [`TrainOptions::momentum`] (the
     /// paper's configuration).
@@ -184,7 +183,7 @@ impl fmt::Display for OptimizerKind {
 }
 
 /// Hyperparameters shared by every trainer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainOptions {
     /// Number of training epochs.
     pub epochs: usize,

@@ -4,7 +4,6 @@ use crate::Dataset;
 use ff_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic dataset generators.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = SyntheticConfig::small().with_seed(7);
 /// assert_eq!(cfg.seed, 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of training samples.
     pub train_size: usize,

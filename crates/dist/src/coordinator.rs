@@ -20,9 +20,10 @@
 
 use crate::protocol::{
     decode_msg_versioned, encode_msg_at, read_msg, read_msg_bytes, write_msg, write_msg_at,
-    write_msg_bytes, ErrorCode, ShardStamps, TrainMsg, KIND_COUNT, TRAIN_PROTOCOL_VERSION,
+    write_msg_bytes, ErrorCode, ShardStamps, TrainMsg, TRAIN_PROTOCOL_VERSION,
 };
 use crate::{DistError, Result};
+use ff_codec::{constant_time_eq, frame};
 use ff_core::shard::{compute_shard, reduce_shard_grads, shard_tasks, ShardGrads};
 use ff_core::{
     first_layer_is_dense, Algorithm, FfTrainer, Precision, StepSpans, StepStats, TrainEvent,
@@ -32,7 +33,9 @@ use ff_data::{Batch, Dataset};
 use ff_metrics::Counter;
 use ff_nn::Sequential;
 use ff_tensor::Tensor;
-use ff_trace::{ClusterFlightRecorder, ClusterSpan, MetricsRegistry, ShardSpan, TraceSettings};
+use ff_trace::{
+    ClusterFlightRecorder, ClusterSpan, MetricsRegistry, ShardSpan, TraceSettings, WireCounters,
+};
 use rand::rngs::StdRng;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,43 +104,6 @@ enum Pulse {
     Down { worker_id: u64 },
 }
 
-/// Pre-minted per-kind frame/byte counters for the FF8D transport.
-///
-/// Indexed by [`TrainMsg::kind_index`], so a hot-path account is two
-/// atomic adds with no registry lock or name formatting. Counters exist
-/// (and stay coherent) even with no registry configured; registration
-/// under `dist.wire.<kind>.{frames,bytes}` happens only when one is.
-#[derive(Debug)]
-struct WireCounters {
-    frames: Vec<Counter>,
-    bytes: Vec<Counter>,
-}
-
-impl WireCounters {
-    fn new(metrics: Option<&MetricsRegistry>) -> Self {
-        let mut frames = Vec::with_capacity(KIND_COUNT);
-        let mut bytes = Vec::with_capacity(KIND_COUNT);
-        for name in TrainMsg::kind_names() {
-            let f = Counter::new();
-            let b = Counter::new();
-            if let Some(metrics) = metrics {
-                metrics.register_counter(&format!("dist.wire.{name}.frames"), f.clone());
-                metrics.register_counter(&format!("dist.wire.{name}.bytes"), b.clone());
-            }
-            frames.push(f);
-            bytes.push(b);
-        }
-        WireCounters { frames, bytes }
-    }
-
-    /// Accounts one frame of `kind_index` whose full wire footprint
-    /// (length prefix included) was `wire_bytes`.
-    fn account(&self, kind_index: usize, wire_bytes: u64) {
-        self.frames[kind_index].inc();
-        self.bytes[kind_index].add(wire_bytes);
-    }
-}
-
 #[derive(Debug)]
 struct Shared {
     config: CoordinatorConfig,
@@ -161,7 +127,7 @@ impl Shared {
     /// Writes `msg` at `version` and accounts the frame under its kind.
     fn wire_write(&self, stream: &mut TcpStream, msg: &TrainMsg, version: u16) -> Result<()> {
         let n = write_msg_at(stream, msg, version)?;
-        self.wire.account(msg.kind_index(), n as u64);
+        self.wire.account(msg.kind_index(), n);
         Ok(())
     }
 
@@ -201,7 +167,7 @@ impl Coordinator {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let cluster = ClusterFlightRecorder::new(config.trace);
-        let wire = WireCounters::new(config.metrics.as_ref());
+        let wire = WireCounters::new(config.metrics.as_ref(), "dist.wire", TrainMsg::kind_names());
         let errors: Vec<Counter> = ErrorCode::all()
             .iter()
             .map(|code| {
@@ -274,21 +240,12 @@ impl Coordinator {
             event: event.clone(),
         };
         let kind_index = msg.kind_index();
-        // Encode once per distinct subscriber version, not per subscriber.
-        let mut encoded: Vec<(u16, Vec<u8>)> = Vec::new();
+        let mut encoded = Vec::new();
         if let Ok(mut subs) = self.shared.subscribers.lock() {
             subs.retain_mut(|(stream, version)| {
-                if !encoded.iter().any(|(v, _)| v == version) {
-                    encoded.push((*version, encode_msg_at(&msg, *version)));
-                }
-                let bytes = &encoded
-                    .iter()
-                    .find(|(v, _)| v == version)
-                    .expect("cached")
-                    .1;
-                match write_msg_bytes(stream, bytes) {
+                match write_msg_bytes(stream, encoded_at(&mut encoded, &msg, *version)) {
                     Ok(n) => {
-                        self.shared.wire.account(kind_index, n as u64);
+                        self.shared.wire.account(kind_index, n);
                         true
                     }
                     Err(_) => false,
@@ -407,13 +364,13 @@ fn handle_hello(
     };
     shared
         .wire
-        .account(hello.kind_index(), bytes.len() as u64 + 4);
+        .account(hello.kind_index(), bytes.len() + frame::PREFIX_BYTES);
     let version = peer_version.min(TRAIN_PROTOCOL_VERSION);
     let _ = stream.set_read_timeout(None);
     match hello {
         TrainMsg::Join { token } => {
             if let Some(expected) = &shared.config.token {
-                if &token != expected {
+                if !constant_time_eq(token.as_bytes(), expected.as_bytes()) {
                     shared.send_error(
                         &mut stream,
                         version,
@@ -514,7 +471,7 @@ fn worker_reader(
             Ok((msg, _version)) => {
                 shared
                     .wire
-                    .account(msg.kind_index(), bytes.len() as u64 + 4);
+                    .account(msg.kind_index(), bytes.len() + frame::PREFIX_BYTES);
                 msg
             }
             Err(_) => break,
@@ -605,16 +562,9 @@ impl DistTrainer {
             let sync_kind = sync.kind_index();
             // ParamSync dominates cluster bytes; encode it once per
             // distinct worker version, not once per worker.
-            let mut encoded: Vec<(u16, Vec<u8>)> = Vec::new();
+            let mut encoded = Vec::new();
             for link in live {
-                if !encoded.iter().any(|(v, _)| *v == link.version) {
-                    encoded.push((link.version, encode_msg_at(&sync, link.version)));
-                }
-                let bytes = &encoded
-                    .iter()
-                    .find(|(v, _)| *v == link.version)
-                    .expect("cached")
-                    .1;
+                let bytes = encoded_at(&mut encoded, &sync, link.version);
                 let wrote = link
                     .stream
                     .lock()
@@ -624,7 +574,7 @@ impl DistTrainer {
                     }));
                 match wrote {
                     Ok(n) => {
-                        self.shared.wire.account(sync_kind, n as u64);
+                        self.shared.wire.account(sync_kind, n);
                         synced.push(link);
                     }
                     Err(_) => link.alive.store(false, Ordering::SeqCst),
@@ -907,4 +857,18 @@ pub fn pull_cluster_traces(addr: impl ToSocketAddrs, max: u32) -> Result<(u64, V
 
 fn saturating_elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// `msg` encoded at `version`, encoding at most once per distinct version
+/// across calls sharing `cache` — how one broadcast reaches peers of mixed
+/// versions without re-encoding per peer.
+fn encoded_at<'c>(cache: &'c mut Vec<(u16, Vec<u8>)>, msg: &TrainMsg, version: u16) -> &'c [u8] {
+    let slot = match cache.iter().position(|(v, _)| *v == version) {
+        Some(slot) => slot,
+        None => {
+            cache.push((version, encode_msg_at(msg, version)));
+            cache.len() - 1
+        }
+    };
+    &cache[slot].1
 }

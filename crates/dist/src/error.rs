@@ -1,5 +1,6 @@
 //! The distributed-training error type.
 
+use ff_codec::frame::FrameError;
 use ff_core::CoreError;
 
 /// Errors produced by the distributed training stack.
@@ -57,6 +58,18 @@ impl From<std::io::Error> for DistError {
     fn from(e: std::io::Error) -> Self {
         DistError::Io {
             message: e.to_string(),
+        }
+    }
+}
+
+impl From<FrameError> for DistError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Eof => std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into(),
+            FrameError::Oversize { len, max } => DistError::Protocol {
+                message: format!("frame of {len} bytes exceeds the {max}-byte limit"),
+            },
+            FrameError::Io(e) => e.into(),
         }
     }
 }

@@ -1,11 +1,14 @@
 //! The `FF8D` distributed-training wire protocol.
 //!
-//! One frame = a `u32` little-endian byte length followed by an `FF8D`
-//! artifact built with the shared [`ff_codec`] writer: 4 magic bytes, a
-//! `u16` version, a reserved flags word, then a single length-prefixed
-//! record whose first byte is the message kind. Everything rides the same
-//! panic-free codec as the `FF8C`/`FF8S`/`FF8P` formats — malformed input
-//! maps to a typed error, never a panic, and the fuzz suite asserts it.
+//! Frames travel behind the shared `u32` length prefix of
+//! [`ff_codec::frame`] (see the `ff-codec` section of `ARCHITECTURE.md`),
+//! bounded by [`MAX_FRAME_BYTES`]. Each frame is an `FF8D` artifact built
+//! with the shared [`ff_codec`] writer: 4 magic bytes, a `u16` version, a
+//! reserved flags word, then a single length-prefixed record whose first
+//! byte is the message kind. Everything rides the same panic-free codec as
+//! the `FF8C`/`FF8S`/`FF8P` formats — malformed input maps to a typed
+//! error, never a panic, and the suite runs the shared [`ff_codec::fuzz`]
+//! harness over [`sample_msgs`] at every version.
 //!
 //! Message flow:
 //!
@@ -35,7 +38,7 @@
 //! bit-identical either way.
 
 use crate::{DistError, Result};
-use ff_codec::{Reader, Writer};
+use ff_codec::{frame, Reader, Writer};
 use ff_core::shard::{ShardGrads, ShardTask};
 use ff_core::{EvalSplit, Precision, StepSpans, TrainEvent};
 use ff_tensor::Tensor;
@@ -79,9 +82,6 @@ mod kind {
     pub const TRACE_DUMP: u8 = 13;
     pub const TRACE_DUMP_REPLY: u8 = 14;
 }
-
-/// Number of message kinds — sizes the per-kind wire counters.
-pub const KIND_COUNT: usize = 14;
 
 /// A machine-readable reason on [`TrainMsg::Error`] frames (v2+), so the
 /// coordinator can count rejections per cause instead of one aggregate.
@@ -269,15 +269,11 @@ impl TrainMsg {
         }
     }
 
-    /// Stable snake_case kind name — the `<kind>` in `dist.wire.<kind>.*`
+    /// Every kind's stable snake_case name, indexed by
+    /// [`TrainMsg::kind_index`] — the `<kind>` in `dist.wire.<kind>.*`
     /// metric names.
-    pub fn kind_name(&self) -> &'static str {
-        Self::kind_names()[self.kind_index()]
-    }
-
-    /// Every kind name, indexed by [`TrainMsg::kind_index`].
-    pub fn kind_names() -> [&'static str; KIND_COUNT] {
-        [
+    pub fn kind_names() -> &'static [&'static str] {
+        &[
             "join",
             "join_ack",
             "param_sync",
@@ -845,15 +841,13 @@ pub fn decode_msg_versioned(bytes: &[u8]) -> Result<(TrainMsg, u16)> {
 /// # Errors
 ///
 /// [`DistError::Protocol`] when the encoded frame exceeds
-/// [`MAX_FRAME_BYTES`] (checked before anything is written, so the stream
-/// stays synchronized); socket errors as [`DistError::Io`].
+/// [`MAX_FRAME_BYTES`] (nothing is written), [`DistError::Io`] otherwise.
 pub fn write_msg(writer: &mut impl Write, msg: &TrainMsg) -> Result<()> {
     write_msg_at(writer, msg, TRAIN_PROTOCOL_VERSION).map(|_| ())
 }
 
-/// Writes one length-prefixed `FF8D` frame encoded at `version`, returning
-/// the wire bytes written (payload + 4-byte prefix) — what the per-kind
-/// byte counters record.
+/// [`write_msg`] at `version`, returning the wire bytes written (payload
+/// plus prefix) — what the per-kind byte counters record.
 ///
 /// # Errors
 ///
@@ -875,18 +869,7 @@ pub fn write_msg_at(writer: &mut impl Write, msg: &TrainMsg, version: u16) -> Re
 ///
 /// See [`write_msg`].
 pub fn write_msg_bytes(writer: &mut impl Write, bytes: &[u8]) -> Result<usize> {
-    if bytes.len() > MAX_FRAME_BYTES {
-        return Err(DistError::Protocol {
-            message: format!(
-                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte limit",
-                bytes.len()
-            ),
-        });
-    }
-    writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    writer.write_all(bytes)?;
-    writer.flush()?;
-    Ok(bytes.len() + 4)
+    Ok(frame::write(writer, bytes, MAX_FRAME_BYTES)?)
 }
 
 /// Reads one length-prefixed `FF8D` frame.
@@ -899,15 +882,6 @@ pub fn read_msg(reader: &mut impl Read) -> Result<TrainMsg> {
     decode_msg(&read_msg_bytes(reader)?)
 }
 
-/// Like [`read_msg`], but also returns the frame's protocol version.
-///
-/// # Errors
-///
-/// See [`read_msg`].
-pub fn read_msg_versioned(reader: &mut impl Read) -> Result<(TrainMsg, u16)> {
-    decode_msg_versioned(&read_msg_bytes(reader)?)
-}
-
 /// Reads one length-prefixed frame's raw artifact bytes without decoding —
 /// so a caller can time the decode separately (the worker's `decoded_ns`
 /// stamp) or account wire bytes before parsing.
@@ -917,19 +891,7 @@ pub fn read_msg_versioned(reader: &mut impl Read) -> Result<(TrainMsg, u16)> {
 /// [`DistError::Io`] on EOF or socket errors, [`DistError::Protocol`] on
 /// an oversized length prefix.
 pub fn read_msg_bytes(reader: &mut impl Read) -> Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(DistError::Protocol {
-            message: format!(
-                "declared frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
-            ),
-        });
-    }
-    let mut buf = vec![0u8; len];
-    reader.read_exact(&mut buf)?;
-    Ok(buf)
+    Ok(frame::read(reader, MAX_FRAME_BYTES)?)
 }
 
 /// Every message kind with representative payloads — shared by the unit
@@ -1051,44 +1013,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_message_kind_roundtrips() {
-        for msg in sample_msgs() {
-            let bytes = encode_msg(&msg);
-            let decoded = decode_msg(&bytes).expect("decode what we encoded");
-            // Structural equality via re-encoding (tensors carry no
-            // PartialEq across the shard structs).
-            assert_eq!(encode_msg(&decoded), bytes);
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_a_typed_error() {
-        for msg in sample_msgs() {
-            let bytes = encode_msg(&msg);
-            for len in 0..bytes.len() {
-                assert!(
-                    decode_msg(&bytes[..len]).is_err(),
-                    "a {len}-byte prefix must not decode"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn frame_io_roundtrips_over_a_buffer() {
-        let mut wire = Vec::new();
-        for msg in sample_msgs() {
-            write_msg(&mut wire, &msg).unwrap();
-        }
-        let mut cursor = &wire[..];
-        for msg in sample_msgs() {
-            let decoded = read_msg(&mut cursor).unwrap();
-            assert_eq!(encode_msg(&decoded), encode_msg(&msg));
-        }
-        assert!(read_msg(&mut cursor).is_err(), "EOF must be a typed error");
-    }
-
-    #[test]
     fn hostile_length_prefix_is_rejected_before_allocation() {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
@@ -1126,10 +1050,6 @@ mod tests {
                 }
                 TrainMsg::Error { code, .. } => assert_eq!(code, ErrorCode::Unspecified),
                 _ => {}
-            }
-            // Every strict v1 prefix fails, same as v2.
-            for len in 0..bytes.len() {
-                assert!(decode_msg(&bytes[..len]).is_err());
             }
         }
     }
@@ -1184,13 +1104,12 @@ mod tests {
     fn kind_names_align_with_kind_indices() {
         let msgs = sample_msgs();
         // sample_msgs carries two Event samples; dedupe by index.
-        let mut seen = [false; KIND_COUNT];
+        let mut seen = vec![false; TrainMsg::kind_names().len()];
         for msg in &msgs {
-            let index = msg.kind_index();
-            assert_eq!(TrainMsg::kind_names()[index], msg.kind_name());
-            seen[index] = true;
+            seen[msg.kind_index()] = true;
         }
         assert!(seen.iter().all(|&s| s), "sample_msgs covers every kind");
+        assert_eq!(TrainMsg::kind_names()[msgs[2].kind_index()], "param_sync");
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! Training cases are expensive (each runs two full trainings), so the two
 //! sweeps drive the proptest strategies through an explicit seeded
 //! [`TestRng`] over a handful of cases instead of the `proptest!` macro's
-//! fixed 64; the cheap decoder-fuzz properties use the macro as usual.
+//! fixed 64. The decoder-robustness properties run the shared
+//! [`ff_codec::fuzz`] harness over every sample message at every version.
 
+use ff_codec::fuzz::{Fault, Harness};
 use ff_core::{Algorithm, Precision, TrainOptions, TrainSession};
 use ff_data::{synthetic_mnist, Dataset, SyntheticConfig};
 use ff_dist::protocol::{
-    decode_msg, decode_msg_versioned, encode_msg, encode_msg_at, sample_msgs, TrainMsg,
+    decode_msg_versioned, encode_msg_at, read_msg_bytes, sample_msgs, TrainMsg,
     MIN_TRAIN_PROTOCOL_VERSION, TRAIN_PROTOCOL_VERSION,
 };
 use ff_dist::{Coordinator, CoordinatorConfig, DistError, PipelineSession, Worker};
@@ -164,18 +166,34 @@ fn data_parallel_is_bit_exact_across_seeds_and_worker_counts() {
     }
 }
 
-/// The sample messages `version` can encode (the trace kinds are v2+).
-fn encodable_at(version: u16) -> Vec<TrainMsg> {
-    sample_msgs()
-        .into_iter()
-        .filter(|msg| {
-            version >= 2
-                || !matches!(
-                    msg,
-                    TrainMsg::TraceDump { .. } | TrainMsg::TraceDumpReply { .. }
-                )
+/// The shared codec harness over every sample message at every version
+/// that can encode it (the trace kinds are v2+).
+fn harness() -> Harness<(TrainMsg, u16), DistError> {
+    let artifacts = (MIN_TRAIN_PROTOCOL_VERSION..=TRAIN_PROTOCOL_VERSION)
+        .flat_map(|version| {
+            sample_msgs()
+                .into_iter()
+                .filter(move |msg| {
+                    version >= 2
+                        || !matches!(
+                            msg,
+                            TrainMsg::TraceDump { .. } | TrainMsg::TraceDumpReply { .. }
+                        )
+                })
+                .map(move |msg| encode_msg_at(&msg, version))
         })
-        .collect()
+        .collect();
+    Harness {
+        artifacts,
+        decode: decode_msg_versioned,
+        encode: |(msg, version)| encode_msg_at(msg, *version),
+        read: |stream| decode_msg_versioned(&read_msg_bytes(stream)?),
+        fault: |e| match e {
+            DistError::Protocol { .. } => Some(Fault::Malformed),
+            DistError::Io { .. } => Some(Fault::Eof),
+            DistError::Core(_) => None,
+        },
+    }
 }
 
 /// Truncating any sample frame at ANY offset, at every supported encoding
@@ -185,97 +203,28 @@ fn encodable_at(version: u16) -> Vec<TrainMsg> {
 /// `SubmitBatch` trace id all sit at fixed offsets a sampler could skip.
 #[test]
 fn every_truncation_of_every_versioned_frame_is_rejected() {
-    for version in MIN_TRAIN_PROTOCOL_VERSION..=TRAIN_PROTOCOL_VERSION {
-        for msg in encodable_at(version) {
-            let bytes = encode_msg_at(&msg, version);
-            for keep in 0..bytes.len() {
-                assert!(
-                    decode_msg(&bytes[..keep]).is_err(),
-                    "v{version} frame decoded from a {keep}-byte prefix of {} bytes",
-                    bytes.len()
-                );
-            }
-        }
-    }
+    harness().check_truncations();
 }
 
-proptest! {
-    // Arbitrary bytes never panic the decoder — they decode or return a
-    // typed error.
-    #[test]
-    fn decoder_never_panics_on_arbitrary_bytes(
-        len in 0usize..512,
-        fill in proptest::collection::vec(0u8..=255, 512),
-    ) {
-        let _ = decode_msg(&fill[..len]);
-    }
+/// Arbitrary bytes never panic the decoder or the stream reader — they
+/// decode or return a typed error.
+#[test]
+fn decoder_never_panics_on_arbitrary_bytes() {
+    harness().check_garbage();
+}
 
-    // Bit-flipped valid frames never panic the decoder either (they land
-    // deeper in the payload parsers than random bytes do).
-    #[test]
-    fn decoder_never_panics_on_corrupted_valid_frames(
-        pick in 0usize..15,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        let msgs = sample_msgs();
-        let mut bytes = encode_msg(&msgs[pick % msgs.len()]);
-        let len = bytes.len();
-        let position = ((len as f64) * position_fraction) as usize % len;
-        bytes[position] ^= flip;
-        match decode_msg(&bytes) {
-            // Flips landing in value payloads legitimately decode to a
-            // different message; anything structural must be a typed error.
-            Ok(_) | Err(DistError::Protocol { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
-    }
+/// Byte-flipped valid frames (which land deeper in the payload parsers
+/// than random bytes do) decode to some other message or fail with a
+/// typed error, at every version.
+#[test]
+fn decoder_never_panics_on_corrupted_valid_frames() {
+    harness().check_flips();
+}
 
-    // Truncating any frame at any point is a typed error, never a panic
-    // or a bogus decode.
-    #[test]
-    fn decoder_rejects_every_truncation(
-        pick in 0usize..15,
-        keep_fraction in 0.0f64..1.0,
-    ) {
-        let msgs = sample_msgs();
-        let bytes = encode_msg(&msgs[pick % msgs.len()]);
-        let keep = ((bytes.len() as f64) * keep_fraction) as usize % bytes.len();
-        prop_assert!(decode_msg(&bytes[..keep]).is_err());
-    }
-
-    // The re-encoding of any decoded sample message is byte-identical —
-    // the codec has one canonical form.
-    #[test]
-    fn decoded_messages_reencode_canonically(pick in 0usize..15) {
-        let msgs = sample_msgs();
-        let bytes = encode_msg(&msgs[pick % msgs.len()]);
-        let decoded: TrainMsg = decode_msg(&bytes).unwrap();
-        prop_assert_eq!(&encode_msg(&decoded), &bytes);
-    }
-
-    // The legacy v1 encoding has its own canonical form (no trace fields)
-    // and its frames fuzz just as clean: a decoded v1 frame re-encodes to
-    // the exact bytes, and a bit-flipped v1 frame either decodes to some
-    // other message or fails with a typed error — never a panic.
-    #[test]
-    fn v1_frames_reencode_canonically_and_survive_flips(
-        pick in 0usize..15,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        let msgs = encodable_at(1);
-        let bytes = encode_msg_at(&msgs[pick % msgs.len()], 1);
-        let (decoded, version) = decode_msg_versioned(&bytes).unwrap();
-        prop_assert_eq!(version, 1);
-        prop_assert_eq!(&encode_msg_at(&decoded, 1), &bytes);
-        let mut corrupt = bytes;
-        let len = corrupt.len();
-        let position = ((len as f64) * position_fraction) as usize % len;
-        corrupt[position] ^= flip;
-        match decode_msg(&corrupt) {
-            Ok(_) | Err(DistError::Protocol { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
-    }
+/// Every version's encoding has one canonical form: framed samples read
+/// back and re-encode to the exact bytes. Every stream cut is a typed
+/// error, and a hostile length prefix is refused before any payload read.
+#[test]
+fn decoded_messages_reencode_canonically() {
+    harness().check_stream();
 }

@@ -3,11 +3,10 @@
 use crate::device::DeviceSpec;
 use crate::opcount::{bp_fp32_batch_ops, bp_int8_batch_ops, ff_int8_batch_ops, OpCounts};
 use ff_models::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 /// The training algorithms the cost model can account for (the Table V
 /// lineup).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// FP32 backpropagation.
     BpFp32,
@@ -58,7 +57,7 @@ impl AlgorithmKind {
 }
 
 /// Shape of one training run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainingRun {
     /// Mini-batch size (the paper uses 32).
     pub batch_size: usize,
@@ -76,7 +75,7 @@ impl TrainingRun {
 }
 
 /// Estimated cost of one full training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingCost {
     /// Wall-clock training time in seconds.
     pub time_s: f64,
@@ -96,7 +95,7 @@ impl TrainingCost {
 }
 
 /// The analytic cost model: a device spec plus accounting rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     device: DeviceSpec,
     /// Fixed runtime overhead resident in memory (framework, kernels, I/O

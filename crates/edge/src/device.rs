@@ -1,13 +1,11 @@
 //! The edge-device specification (paper Table III).
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware characteristics of the target edge device.
 ///
 /// Defaults model the NVIDIA Jetson Orin Nano used by the paper
 /// (Table III: 512-core Ampere GPU, 20 TOPS INT8, 4 GB LPDDR5 @ 34 GB/s,
 /// 7–10 W power envelope).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Device name.
     pub name: String,

@@ -1,11 +1,10 @@
 //! Operation-count accounting (paper Table IV categories).
 
 use ff_models::ModelSpec;
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// Operation counts broken down by the categories of the paper's Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounts {
     /// 8-bit integer multiplications (MAC phase).
     pub int8_mul: u64,

@@ -1,7 +1,5 @@
 //! Per-epoch training records.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification accuracy of `predictions` against `labels`, in `[0, 1]`.
 ///
 /// # Panics
@@ -31,7 +29,7 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
 }
 
 /// One epoch of training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -54,7 +52,7 @@ pub struct EpochRecord {
 ///
 /// Used to regenerate the accuracy-vs-epoch figures of the paper (Fig. 2 and
 /// Fig. 6) and the accuracy column of Table V.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingHistory {
     /// Human-readable name of the algorithm/model that produced the run.
     pub name: String,

@@ -9,7 +9,6 @@
 
 use ff_nn::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, ResidualBlock, Sequential};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the scaled-down convolutional models.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = SmallModelConfig::default().with_base_channels(8);
 /// assert_eq!(cfg.base_channels, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmallModelConfig {
     /// Input channels (1 for the MNIST stand-in, 3 for CIFAR-10).
     pub input_channels: usize,

@@ -6,13 +6,11 @@
 //! which is how Table IV and the time/energy/memory columns of Table V are
 //! regenerated without the physical Jetson board.
 
-use serde::{Deserialize, Serialize};
-
 /// One layer of a [`ModelSpec`].
 ///
 /// Only the quantities needed for cost accounting are stored: parameter
 /// tensor sizes, MAC counts and activation sizes, all **per sample**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerSpec {
     /// Fully-connected layer.
     Dense {
@@ -126,7 +124,7 @@ impl LayerSpec {
 }
 
 /// A full architecture description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Human-readable model name (e.g. `"ResNet-18"`).
     pub name: String,

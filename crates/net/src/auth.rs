@@ -14,7 +14,7 @@
 //! - **Shutdown requires a valid token** (any token — it is not a
 //!   per-model operation).
 //!
-//! Token comparison is **constant-time** over the padded maximum length,
+//! Token comparison is **constant-time** ([`ff_codec::constant_time_eq`]),
 //! so response timing leaks neither how many prefix bytes matched nor
 //! which configured token was closest. Error replies carry the typed
 //! [`crate::ErrorCode::Unauthorized`] and never echo the presented token.
@@ -22,7 +22,7 @@
 //! everything is open, including requests from v1/v2 clients that cannot
 //! send tokens at all.
 
-use crate::protocol::MAX_AUTH_TOKEN_LEN;
+use ff_codec::constant_time_eq;
 
 /// One configured credential: a shared secret, optionally scoped to a set
 /// of registry model ids.
@@ -115,23 +115,6 @@ impl AuthPolicy {
     }
 }
 
-/// Compares two byte strings in time independent of their contents and of
-/// where the first difference sits.
-///
-/// Both inputs are scanned over the padded maximum token length
-/// ([`MAX_AUTH_TOKEN_LEN`]), accumulating differences (including the
-/// length difference) into one OR-fold that is inspected only once at the
-/// end — no early exit, no data-dependent branch.
-fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
-    let mut diff = a.len() ^ b.len();
-    for i in 0..MAX_AUTH_TOKEN_LEN.max(a.len()).max(b.len()) {
-        let x = a.get(i).copied().unwrap_or(0);
-        let y = b.get(i).copied().unwrap_or(0);
-        diff |= usize::from(x ^ y);
-    }
-    diff == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,34 +151,5 @@ mod tests {
         assert!(!policy.authorize(Some("tenant-a"), 0));
         // But it still authenticates (shutdown path).
         assert!(policy.authenticate(Some("tenant-a")));
-    }
-
-    #[test]
-    fn constant_time_eq_agrees_with_plain_equality() {
-        let cases: &[(&str, &str)] = &[
-            ("", ""),
-            ("a", "a"),
-            ("a", "b"),
-            ("a", ""),
-            ("", "a"),
-            ("secret", "secret"),
-            ("secret", "secres"),
-            ("secret", "secrets"),
-            ("secret", "Secret"),
-            ("aaaaaaaaaaaaaaaa", "aaaaaaaaaaaaaaaa"),
-        ];
-        for (a, b) in cases {
-            assert_eq!(
-                constant_time_eq(a.as_bytes(), b.as_bytes()),
-                a == b,
-                "{a:?} vs {b:?}"
-            );
-        }
-        // Longer than the padded bound still compares correctly.
-        let long_a = "x".repeat(MAX_AUTH_TOKEN_LEN + 10);
-        let mut long_b = long_a.clone();
-        assert!(constant_time_eq(long_a.as_bytes(), long_b.as_bytes()));
-        long_b.replace_range(long_b.len() - 1.., "y");
-        assert!(!constant_time_eq(long_a.as_bytes(), long_b.as_bytes()));
     }
 }

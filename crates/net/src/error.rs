@@ -11,6 +11,7 @@
 //! replies and the client's retry policy can never disagree about which
 //! failures are safe to retry.
 
+use ff_codec::frame::FrameError;
 use ff_codec::CodecError;
 use std::fmt;
 use std::time::Duration;
@@ -230,6 +231,16 @@ impl From<std::io::Error> for NetError {
             _ => NetError::Io {
                 message: e.to_string(),
             },
+        }
+    }
+}
+
+impl From<FrameError> for NetError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Eof => NetError::Closed,
+            FrameError::Oversize { len, max } => NetError::FrameTooLarge { len, max },
+            FrameError::Io(e) => e.into(),
         }
     }
 }

@@ -8,12 +8,12 @@
 //!
 //! # Framing
 //!
-//! On a TCP stream, every message is one **frame**:
+//! On a TCP stream every frame travels behind the shared `u32` length
+//! prefix of [`ff_codec::frame`] (see the `ff-codec` section of
+//! `ARCHITECTURE.md`), bounded by the peer's max-frame-size limit. Each
+//! frame is a complete FF8P artifact:
 //!
 //! ```text
-//! frame_len        u32       — bytes that follow (bounded by the peer's
-//!                              max-frame-size limit)
-//! frame            frame_len × u8 — a complete FF8P artifact:
 //!   magic          4 × u8    = "FF8P"
 //!   version        u16       = 1, 2 or 3
 //!   flags          u16       = model id (version 3; 0 and ignored below)
@@ -99,11 +99,11 @@
 //! Decoding is hardened exactly like the sibling loaders: every declared
 //! count is bounded by the remaining payload before allocation
 //! ([`ff_codec::Reader::ensure_fits`]), unknown kinds/codes and trailing
-//! bytes are typed [`NetError`]s, and the fuzz suite truncates at every
-//! offset and flips random bytes without ever observing a panic.
+//! bytes are typed [`NetError`]s, and the suite runs the shared
+//! [`ff_codec::fuzz`] harness over [`sample_frames`] at every version.
 
 use crate::{ErrorCode, NetError, Result};
-use ff_codec::{Reader, Writer};
+use ff_codec::{frame, Reader, Writer};
 use ff_metrics::LatencySummary;
 use ff_serve::{RequestTrace, StageSummaries};
 use std::io::Read;
@@ -136,9 +136,6 @@ const KIND_SHUTDOWN_ACK: u8 = 132;
 const KIND_ERROR: u8 = 133;
 const KIND_TRACE_DUMP_REPLY: u8 = 134;
 const KIND_METRICS_DUMP_REPLY: u8 = 135;
-
-/// How many distinct frame kinds [`Frame::kind_index`] enumerates.
-pub const FRAME_KIND_COUNT: usize = 14;
 
 /// Bound on the length of an error reply's message string.
 const MAX_ERROR_MESSAGE_LEN: usize = 4096;
@@ -509,8 +506,8 @@ impl Frame {
     }
 
     /// A dense 0-based index for this frame's kind — the row into
-    /// [`Frame::kind_names`] and any per-kind counter array (see
-    /// [`FRAME_KIND_COUNT`]). Stable across releases: new kinds append.
+    /// [`Frame::kind_names`] and the per-kind wire counters. Stable across
+    /// releases: new kinds append.
     pub fn kind_index(&self) -> usize {
         match self {
             Frame::Predict { .. } => 0,
@@ -530,15 +527,11 @@ impl Frame {
         }
     }
 
-    /// This kind's stable snake_case name, as used in `net.wire.<kind>.*`
-    /// metric names.
-    pub fn kind_name(&self) -> &'static str {
-        Self::kind_names()[self.kind_index()]
-    }
-
-    /// Every kind's name, indexed by [`Frame::kind_index`].
-    pub fn kind_names() -> [&'static str; FRAME_KIND_COUNT] {
-        [
+    /// Every kind's stable snake_case name, indexed by
+    /// [`Frame::kind_index`] — the `<kind>` in `net.wire.<kind>.*` metric
+    /// names.
+    pub fn kind_names() -> &'static [&'static str] {
+        &[
             "predict",
             "predict_batch",
             "stats",
@@ -614,14 +607,21 @@ fn get_latency_summary(
     for slot in &mut nanos {
         *slot = body.get_u64(context)?;
     }
-    Ok(LatencySummary {
+    Ok(latency_summary(count, nanos))
+}
+
+/// A latency summary from its count and mean/p50/p95/p99/max in
+/// nanoseconds — the order [`put_latency_summary`] writes them in.
+fn latency_summary(count: u64, nanos: [u64; 5]) -> LatencySummary {
+    let [mean, p50, p95, p99, max] = nanos.map(Duration::from_nanos);
+    LatencySummary {
         count,
-        mean: Duration::from_nanos(nanos[0]),
-        p50: Duration::from_nanos(nanos[1]),
-        p95: Duration::from_nanos(nanos[2]),
-        p99: Duration::from_nanos(nanos[3]),
-        max: Duration::from_nanos(nanos[4]),
-    })
+        mean,
+        p50,
+        p95,
+        p99,
+        max,
+    }
 }
 
 /// Serializes a frame into its `FF8P` bytes at the newest protocol version
@@ -874,25 +874,16 @@ pub fn encode_frame_meta(frame: &Frame, version: u16, meta: &FrameMeta) -> Vec<u
 }
 
 /// Deserializes the bytes produced by [`encode_frame`] /
-/// [`encode_frame_at`], discarding the peer's declared version. Servers use
-/// [`decode_frame_versioned`] to learn which dialect to answer in.
+/// [`encode_frame_at`], discarding the peer's declared version and header
+/// metadata. Servers use [`decode_frame_meta`] to learn which dialect to
+/// answer in.
 ///
 /// # Errors
 ///
 /// Never panics: malformed input maps to [`NetError::Codec`] (header or
 /// truncation problems) or [`NetError::Frame`] (structural violations).
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame> {
-    decode_frame_versioned(bytes).map(|(frame, _)| frame)
-}
-
-/// [`decode_frame_meta`] without the header metadata, for callers that do
-/// not route by model or check tokens.
-///
-/// # Errors
-///
-/// As for [`decode_frame`].
-pub fn decode_frame_versioned(bytes: &[u8]) -> Result<(Frame, u16)> {
-    decode_frame_meta(bytes).map(|(frame, version, _)| (frame, version))
+    decode_frame_meta(bytes).map(|(frame, ..)| frame)
 }
 
 /// Deserializes a frame and reports the protocol version it was written at
@@ -1158,15 +1149,15 @@ pub fn decode_frame_meta(bytes: &[u8]) -> Result<(Frame, u16, FrameMeta)> {
 }
 
 /// Writes one length-prefixed frame to `writer` at the newest protocol
-/// version and returns the frame's full wire footprint in bytes (payload
-/// plus the 4-byte length prefix — what a per-kind byte counter should
-/// account). See [`write_frame_at`] for the version-negotiated form.
+/// version and returns its wire footprint (payload plus prefix — what a
+/// per-kind byte counter accounts). See [`write_frame_at`] for the
+/// version-negotiated form.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::FrameTooLarge`] when the encoded frame exceeds
-/// `max_frame_bytes` (checked **before** anything is written, so the
-/// stream stays synchronized), and socket-level [`NetError`]s otherwise.
+/// [`NetError::FrameTooLarge`] when the encoded frame exceeds
+/// `max_frame_bytes` (nothing is written), socket-level [`NetError`]s
+/// otherwise.
 pub fn write_frame(
     writer: &mut impl std::io::Write,
     frame: &Frame,
@@ -1223,45 +1214,7 @@ pub fn write_frame_meta(
     max_frame_bytes: usize,
 ) -> Result<usize> {
     let bytes = encode_frame_meta(frame, version, meta);
-    if bytes.len() > max_frame_bytes {
-        return Err(NetError::FrameTooLarge {
-            len: bytes.len(),
-            max: max_frame_bytes,
-        });
-    }
-    writer.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    writer.write_all(&bytes)?;
-    writer.flush()?;
-    Ok(bytes.len() + 4)
-}
-
-/// Reads one length-prefixed frame's bytes from `reader` (the part shared
-/// by [`read_frame`] and [`read_frame_meta`]).
-fn read_frame_bytes(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetError::Closed
-        } else {
-            NetError::from(e)
-        }
-    })?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > max_frame_bytes {
-        return Err(NetError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let mut bytes = vec![0u8; len];
-    reader.read_exact(&mut bytes).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetError::Closed
-        } else {
-            NetError::from(e)
-        }
-    })?;
-    Ok(bytes)
+    Ok(frame::write(writer, &bytes, max_frame_bytes)?)
 }
 
 /// Reads one length-prefixed frame from `reader`.
@@ -1274,7 +1227,7 @@ fn read_frame_bytes(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Ve
 /// `max_frame_bytes` (the connection cannot be resynchronized afterwards —
 /// callers close it), and decode errors as in [`decode_frame`].
 pub fn read_frame(reader: &mut impl Read, max_frame_bytes: usize) -> Result<Frame> {
-    decode_frame(&read_frame_bytes(reader, max_frame_bytes)?)
+    decode_frame(&frame::read(reader, max_frame_bytes)?)
 }
 
 /// Reads one length-prefixed frame plus its declared version and header
@@ -1288,7 +1241,7 @@ pub fn read_frame_meta(
     reader: &mut impl Read,
     max_frame_bytes: usize,
 ) -> Result<(Frame, u16, FrameMeta)> {
-    decode_frame_meta(&read_frame_bytes(reader, max_frame_bytes)?)
+    decode_frame_meta(&frame::read(reader, max_frame_bytes)?)
 }
 
 /// Every frame kind, with representative payloads — shared by the unit and
@@ -1323,14 +1276,7 @@ pub fn sample_frames() -> Vec<Frame> {
                 batches: 10,
                 max_batch: 32,
                 mean_batch: 10.0,
-                latency: LatencySummary {
-                    count: 100,
-                    mean: Duration::from_micros(150),
-                    p50: Duration::from_micros(120),
-                    p95: Duration::from_micros(400),
-                    p99: Duration::from_micros(900),
-                    max: Duration::from_millis(2),
-                },
+                latency: latency_summary(100, [150_000, 120_000, 400_000, 900_000, 2_000_000]),
                 shed_expired: 3,
                 rejected_overload: 17,
                 rejected_deadline: 2,
@@ -1344,14 +1290,10 @@ pub fn sample_frames() -> Vec<Frame> {
                         shed_expired: 3,
                         rejected_overload: 17,
                         rejected_deadline: 2,
-                        latency: LatencySummary {
-                            count: 80,
-                            mean: Duration::from_micros(140),
-                            p50: Duration::from_micros(110),
-                            p95: Duration::from_micros(380),
-                            p99: Duration::from_micros(850),
-                            max: Duration::from_millis(2),
-                        },
+                        latency: latency_summary(
+                            80,
+                            [140_000, 110_000, 380_000, 850_000, 2_000_000],
+                        ),
                     },
                     WireModelStats {
                         id: 7,
@@ -1362,49 +1304,17 @@ pub fn sample_frames() -> Vec<Frame> {
                         shed_expired: 0,
                         rejected_overload: 0,
                         rejected_deadline: 0,
-                        latency: LatencySummary {
-                            count: 20,
-                            mean: Duration::from_micros(180),
-                            p50: Duration::from_micros(150),
-                            p95: Duration::from_micros(420),
-                            p99: Duration::from_micros(950),
-                            max: Duration::from_millis(1),
-                        },
+                        latency: latency_summary(
+                            20,
+                            [180_000, 150_000, 420_000, 950_000, 1_000_000],
+                        ),
                     },
                 ],
                 stages: StageSummaries {
-                    queue: LatencySummary {
-                        count: 100,
-                        mean: Duration::from_micros(40),
-                        p50: Duration::from_micros(30),
-                        p95: Duration::from_micros(120),
-                        p99: Duration::from_micros(300),
-                        max: Duration::from_micros(600),
-                    },
-                    assembly: LatencySummary {
-                        count: 100,
-                        mean: Duration::from_micros(5),
-                        p50: Duration::from_micros(4),
-                        p95: Duration::from_micros(12),
-                        p99: Duration::from_micros(20),
-                        max: Duration::from_micros(45),
-                    },
-                    gemm: LatencySummary {
-                        count: 100,
-                        mean: Duration::from_micros(80),
-                        p50: Duration::from_micros(70),
-                        p95: Duration::from_micros(200),
-                        p99: Duration::from_micros(400),
-                        max: Duration::from_millis(1),
-                    },
-                    write: LatencySummary {
-                        count: 100,
-                        mean: Duration::from_micros(15),
-                        p50: Duration::from_micros(12),
-                        p95: Duration::from_micros(40),
-                        p99: Duration::from_micros(90),
-                        max: Duration::from_micros(250),
-                    },
+                    queue: latency_summary(100, [40_000, 30_000, 120_000, 300_000, 600_000]),
+                    assembly: latency_summary(100, [5_000, 4_000, 12_000, 20_000, 45_000]),
+                    gemm: latency_summary(100, [80_000, 70_000, 200_000, 400_000, 1_000_000]),
+                    write: latency_summary(100, [15_000, 12_000, 40_000, 90_000, 250_000]),
                 },
             }),
         },
@@ -1537,7 +1447,7 @@ mod tests {
 
     #[test]
     fn newest_version_frames_report_their_version() {
-        let (_, version) = decode_frame_versioned(&encode_frame(&Frame::Stats { id: 1 })).unwrap();
+        let (_, version, _) = decode_frame_meta(&encode_frame(&Frame::Stats { id: 1 })).unwrap();
         assert_eq!(version, PROTOCOL_VERSION);
     }
 
@@ -1613,22 +1523,18 @@ mod tests {
 
     #[test]
     fn kind_indices_are_dense_and_names_are_stable() {
-        let mut seen = [false; FRAME_KIND_COUNT];
+        let mut seen = vec![false; Frame::kind_names().len()];
         for frame in sample_frames() {
             let index = frame.kind_index();
             assert!(!seen[index], "duplicate kind index {index}");
             seen[index] = true;
-            assert_eq!(frame.kind_name(), Frame::kind_names()[index]);
         }
         assert!(
             seen.iter().all(|&s| s),
             "sample_frames must cover every kind index"
         );
         assert_eq!(Frame::kind_names()[0], "predict");
-        assert_eq!(
-            Frame::kind_names()[FRAME_KIND_COUNT - 1],
-            "metrics_dump_reply"
-        );
+        assert_eq!(Frame::kind_names().last(), Some(&"metrics_dump_reply"));
     }
 
     #[test]
@@ -1637,26 +1543,6 @@ mod tests {
             assert_eq!(frame.id(), index as u64 + 1);
             assert_eq!(frame.is_request(), index < 7, "{frame:?}");
         }
-    }
-
-    #[test]
-    fn stream_framing_roundtrips_multiple_frames() {
-        let frames = sample_frames();
-        let mut wire = Vec::new();
-        for frame in &frames {
-            write_frame(&mut wire, frame, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        }
-        let mut cursor = std::io::Cursor::new(wire);
-        for frame in &frames {
-            assert_eq!(
-                &read_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES).unwrap(),
-                frame
-            );
-        }
-        assert_eq!(
-            read_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES),
-            Err(NetError::Closed)
-        );
     }
 
     #[test]

@@ -74,14 +74,15 @@ use crate::admission::{AdmissionConfig, AdmissionGate, AdmitError};
 use crate::auth::AuthPolicy;
 use crate::protocol::{
     decode_frame_meta, write_frame_meta, Frame, FrameMeta, WireHealthState, WireMode,
-    DEFAULT_MAX_FRAME_BYTES, FRAME_KIND_COUNT, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::{ErrorCode, NetError, Result};
-use ff_metrics::Counter;
+use ff_codec::frame;
 use ff_serve::{
-    FrozenModel, MetricsRegistry, ModelRegistry, ServeConfig, ServeError, ServeHandle, ServeMode,
-    Server, SharedHistogram, ShedCounters, Stage, TraceHandle,
+    FrozenModel, ModelRegistry, ServeConfig, ServeError, ServeHandle, ServeMode, Server,
+    SharedHistogram, ShedCounters, Stage, TraceHandle,
 };
+use ff_trace::WireCounters;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -158,35 +159,6 @@ struct NetShared {
     /// Per-kind frame/byte accounting for everything crossing the wire,
     /// both directions (`net.wire.<kind>.{frames,bytes}`).
     wire: WireCounters,
-}
-
-/// Pre-minted per-kind wire counters: the hot path is two atomic adds per
-/// frame, with no registry lookup and no lock. Request kinds accumulate on
-/// the read path, reply kinds on the write path, so one dense set covers
-/// both directions without double counting.
-#[derive(Clone)]
-struct WireCounters {
-    frames: Vec<Counter>,
-    bytes: Vec<Counter>,
-}
-
-impl WireCounters {
-    fn new(metrics: &MetricsRegistry) -> Self {
-        let mut frames = Vec::with_capacity(FRAME_KIND_COUNT);
-        let mut bytes = Vec::with_capacity(FRAME_KIND_COUNT);
-        for name in Frame::kind_names() {
-            frames.push(metrics.counter(&format!("net.wire.{name}.frames")));
-            bytes.push(metrics.counter(&format!("net.wire.{name}.bytes")));
-        }
-        WireCounters { frames, bytes }
-    }
-
-    /// Accounts one frame of `kind_index`. `wire_bytes` is the full
-    /// on-the-wire size including the 4-byte length prefix.
-    fn account(&self, kind_index: usize, wire_bytes: u64) {
-        self.frames[kind_index].inc();
-        self.bytes[kind_index].add(wire_bytes);
-    }
 }
 
 impl NetShared {
@@ -303,7 +275,11 @@ impl NetServer {
             handle: engine.handle(),
             counters: engine.handle().shed_counters(),
             write_stage: engine.handle().stage_histograms().write,
-            wire: WireCounters::new(&engine.handle().metrics()),
+            wire: WireCounters::new(
+                Some(&engine.handle().metrics()),
+                "net.wire",
+                Frame::kind_names(),
+            ),
             auth: RwLock::new(Arc::new(config.auth.clone())),
             config,
             phase: AtomicU8::new(PHASE_RUNNING),
@@ -658,10 +634,18 @@ fn connection_reader_loop(
             });
             return Ok(());
         }
-        let mut bytes = vec![0u8; len];
-        match fill_frame_bytes(reader, &mut bytes, shared, true)? {
-            Fill::Done => {}
-            Fill::Eof | Fill::Idle | Fill::Aborted => return Ok(()),
+        // The payload buffer grows as bytes arrive, so a peer declaring a
+        // huge frame and then stalling holds memory bounded by what it sent.
+        // `Err(Ok(()))` closes quietly (EOF, idle, shutdown), `Err(Err(e))`
+        // reports `e`.
+        let mut bytes = Vec::new();
+        let fill = |chunk: &mut [u8]| match fill_frame_bytes(reader, chunk, shared, true) {
+            Ok(Fill::Done) => Ok(()),
+            Ok(Fill::Eof | Fill::Idle | Fill::Aborted) => Err(Ok(())),
+            Err(e) => Err(Err(e)),
+        };
+        if let Err(stop) = frame::fill_growing(&mut bytes, len, fill) {
+            return stop;
         }
         last_activity = Instant::now();
         let (frame, meta) = match decode_frame_meta(&bytes) {
@@ -669,7 +653,7 @@ fn connection_reader_loop(
                 peer_version = version;
                 shared
                     .wire
-                    .account(frame.kind_index(), bytes.len() as u64 + 4);
+                    .account(frame.kind_index(), bytes.len() + frame::PREFIX_BYTES);
                 (frame, meta)
             }
             Err(error) => {
@@ -765,7 +749,7 @@ fn reply_writer_loop(
         let write_start = trace.is_some().then(Instant::now);
         let outcome = write_frame_meta(&mut writer, &frame, version, &meta, max_frame_bytes);
         if let Ok(written) = &outcome {
-            wire.account(frame.kind_index(), *written as u64);
+            wire.account(frame.kind_index(), *written);
             if let Some(start) = write_start {
                 write_stage.record(start.elapsed());
                 if let Some(trace) = trace.flatten() {

@@ -7,6 +7,7 @@
 //! here reproduces from its seed alone. Chaos rounds run under a watchdog:
 //! "no hang" is an assertion, not a hope.
 
+use ff_codec::frame;
 use ff_models::small_mlp;
 use ff_net::fault::{FaultPlan, FaultyStream};
 use ff_net::protocol::{encode_frame, read_frame, write_frame, Frame};
@@ -333,11 +334,7 @@ fn corrupted_requests_get_typed_errors_not_crashes() {
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .unwrap();
-            stream
-                .write_all(&(corrupted.len() as u32).to_le_bytes())
-                .unwrap();
-            stream.write_all(&corrupted).unwrap();
-            stream.flush().unwrap();
+            frame::write(&mut stream, &corrupted, usize::MAX).unwrap();
             match read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
                 // A flip in the feature payload still decodes: a real label.
                 Ok(Frame::Labels { .. }) => {}

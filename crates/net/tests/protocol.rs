@@ -1,66 +1,18 @@
 //! `FF8P` loader robustness: the same bar the `FF8S` and `FF8C` fuzz
-//! suites set — truncation at every byte offset and random single-byte
-//! flips yield typed errors (or a different but valid frame), never a
-//! panic, for **every** frame kind.
+//! suites set, run through the shared [`ff_codec::fuzz`] harness over
+//! every frame kind at every protocol version — truncation at every byte
+//! offset, single-byte flips and stream cuts yield typed errors (or a
+//! different but valid frame), never a panic.
 
+use ff_codec::fuzz::{Fault, Harness};
 use ff_net::protocol::{
-    decode_frame, decode_frame_meta, decode_frame_versioned, encode_frame, encode_frame_at,
-    encode_frame_meta, read_frame, read_frame_meta, sample_frames, write_frame_at,
+    decode_frame_meta, encode_frame_meta, read_frame_meta, sample_frames, write_frame_at,
     write_frame_meta,
 };
 use ff_net::{
     Frame, FrameMeta, NetError, NetServer, DEFAULT_MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-use proptest::prelude::*;
-
-#[test]
-fn every_truncation_of_every_kind_is_a_typed_error() {
-    for frame in sample_frames() {
-        let bytes = encode_frame(&frame);
-        for len in 0..bytes.len() {
-            match decode_frame(&bytes[..len]) {
-                Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-                other => panic!("{frame:?}: prefix of {len} bytes gave {other:?}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn every_truncation_at_every_protocol_version_is_a_typed_error() {
-    // The version-2 fields (deadline, retry hint, health state, shed
-    // counters) shift every later byte offset, so the truncation sweep must
-    // hold for BOTH encodings, not just the current one.
-    for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-        for frame in sample_frames() {
-            let bytes = encode_frame_at(&frame, version);
-            for len in 0..bytes.len() {
-                match decode_frame(&bytes[..len]) {
-                    Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-                    other => panic!("v{version} {frame:?}: prefix of {len} gave {other:?}"),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn every_stream_truncation_is_a_typed_error() {
-    // The outer length-prefixed framing layer: cutting the stream anywhere
-    // (inside the length prefix or the frame) is Closed or a decode error.
-    for frame in sample_frames() {
-        let mut wire = Vec::new();
-        ff_net::protocol::write_frame(&mut wire, &frame, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        for len in 0..wire.len() {
-            let mut cursor = std::io::Cursor::new(&wire[..len]);
-            assert!(
-                read_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES).is_err(),
-                "{frame:?}: stream prefix of {len} bytes must not parse"
-            );
-        }
-    }
-}
 
 /// The v3 header meta every metadata-fuzz case uses: a non-default model
 /// id (both bytes of the flags word populated) and a real token, so the
@@ -72,55 +24,94 @@ fn fuzz_meta() -> FrameMeta {
     }
 }
 
+/// The shared codec harness over `artifacts`, reading with the default
+/// frame limit.
+fn harness(artifacts: Vec<Vec<u8>>) -> Harness<(Frame, u16, FrameMeta), NetError> {
+    Harness {
+        artifacts,
+        decode: decode_frame_meta,
+        encode: |(frame, version, meta)| encode_frame_meta(frame, *version, meta),
+        read: |stream| read_frame_meta(stream, DEFAULT_MAX_FRAME_BYTES),
+        fault: |e| match e {
+            NetError::Codec(_) | NetError::Frame { .. } => Some(Fault::Malformed),
+            NetError::Closed => Some(Fault::Eof),
+            NetError::FrameTooLarge { .. } => Some(Fault::Oversize),
+            _ => None,
+        },
+    }
+}
+
+/// Every sample frame encoded at `version` with `meta`.
+fn encoded(version: u16, meta: &FrameMeta) -> Vec<Vec<u8>> {
+    let frames = sample_frames();
+    frames
+        .iter()
+        .map(|f| encode_frame_meta(f, version, meta))
+        .collect()
+}
+
+/// Every sample frame at every protocol version, with default meta.
+fn every_version() -> Vec<Vec<u8>> {
+    let versions = MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION;
+    versions
+        .flat_map(|v| encoded(v, &FrameMeta::default()))
+        .collect()
+}
+
+/// Every sample frame at the newest version with [`fuzz_meta`] in the
+/// header, which shifts every later offset.
+fn with_meta() -> Vec<Vec<u8>> {
+    encoded(PROTOCOL_VERSION, &fuzz_meta())
+}
+
+#[test]
+fn every_truncation_at_every_protocol_version_is_a_typed_error() {
+    // The version-2 fields (deadline, retry hint, health state, shed
+    // counters) and version-3 auth record shift every later byte offset,
+    // so the sweep covers every encoding, not just the current one.
+    harness(every_version()).check_truncations();
+}
+
 #[test]
 fn every_truncation_of_v3_metadata_frames_is_a_typed_error() {
-    // The version sweep above encodes with *default* meta (empty auth
-    // record); this sweep re-runs every truncation with the model-id flags
-    // word and a populated auth token in the header, which shifts every
-    // later offset.
-    for frame in sample_frames() {
-        let bytes = encode_frame_meta(&frame, PROTOCOL_VERSION, &fuzz_meta());
-        for len in 0..bytes.len() {
-            match decode_frame_meta(&bytes[..len]) {
-                Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-                other => panic!("{frame:?}: v3 meta prefix of {len} bytes gave {other:?}"),
-            }
-        }
-    }
+    harness(with_meta()).check_truncations();
+}
+
+#[test]
+fn every_stream_truncation_is_a_typed_error() {
+    // The outer length-prefixed framing layer: cutting the stream anywhere
+    // (inside the length prefix or the frame) is Closed or a decode error.
+    harness([every_version(), with_meta()].concat()).check_stream();
+}
+
+#[test]
+fn single_byte_flips_never_panic() {
+    harness([every_version(), with_meta()].concat()).check_flips();
+}
+
+#[test]
+fn random_bytes_never_panic_the_stream_reader() {
+    harness([every_version(), with_meta()].concat()).check_garbage();
 }
 
 #[test]
 fn every_byte_flip_over_model_id_and_auth_fields_is_safe() {
-    // Deterministic single-byte flips across the v3 header: magic, version,
-    // the model-id flags word, the auth record length and every token byte.
-    // Each flip must decode to a typed error or a *valid* frame whose meta
-    // simply differs (a flipped model id / token is a different credential,
-    // not a crash) — and never to the original token with a mutated byte
-    // accepted silently.
-    let meta = fuzz_meta();
-    let header_span = 8 + 4 + 4 + meta.token.as_ref().unwrap().len() + 4;
-    for frame in sample_frames() {
-        let bytes = encode_frame_meta(&frame, PROTOCOL_VERSION, &meta);
-        for offset in 0..header_span.min(bytes.len()) {
+    // Single-byte flips across the v3 header: magic, version, the model-id
+    // flags word, the auth record length and every token byte. A flip that
+    // still decodes (typed errors are `single_byte_flips_never_panic`'s
+    // business) must be internally consistent: the flip landed in the meta
+    // (a different model id or token is a different credential) or the
+    // payload, and re-encoding reproduces the corrupted bytes — never the
+    // original token with a mutated byte accepted silently.
+    let header_span = 8 + 4 + 4 + fuzz_meta().token.map_or(0, |t| t.len()) + 4;
+    for bytes in with_meta() {
+        for offset in 0..header_span {
             for flip in [0x01u8, 0x80, 0xA5, 0xFF] {
                 let mut corrupted = bytes.clone();
                 corrupted[offset] ^= flip;
-                match decode_frame_meta(&corrupted) {
-                    Ok((decoded_frame, version, decoded_meta)) => {
-                        // A surviving decode is internally consistent: the
-                        // flip landed in the meta (different model id or
-                        // token) or in the payload (different frame) —
-                        // re-encoding reproduces the corrupted bytes.
-                        assert_eq!(
-                            encode_frame_meta(&decoded_frame, version, &decoded_meta),
-                            corrupted,
-                            "{frame:?}: flip {flip:#x} at {offset} decoded inconsistently"
-                        );
-                    }
-                    Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-                    Err(other) => {
-                        panic!("{frame:?}: flip {flip:#x} at {offset} gave {other:?}")
-                    }
+                if let Ok((frame, version, meta)) = decode_frame_meta(&corrupted) {
+                    let reencoded = encode_frame_meta(&frame, version, &meta);
+                    assert_eq!(reencoded, corrupted, "flip {flip:#x} at {offset}");
                 }
             }
         }
@@ -234,83 +225,4 @@ fn protocol_version_interop_matrix() {
         }
     }
     server.shutdown();
-}
-
-proptest! {
-    #[test]
-    fn single_byte_flips_never_panic(
-        kind_index in 0usize..10,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        let frames = sample_frames();
-        let frame = &frames[kind_index % frames.len()];
-        let mut bytes = encode_frame(frame);
-        let position = ((bytes.len() as f64) * position_fraction) as usize % bytes.len();
-        bytes[position] ^= flip;
-        match decode_frame(&bytes) {
-            // Flips landing in value payloads legitimately decode to a
-            // different frame; anything structural must be a typed error.
-            Ok(_) | Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn single_byte_flips_of_old_minor_version_frames_never_panic(
-        kind_index in 0usize..10,
-        position_fraction in 0.0f64..1.0,
-        flip in 1u8..=255,
-    ) {
-        // Backward compat under corruption: a damaged VERSION-1 frame must
-        // be just as safe to decode as a damaged current-version frame.
-        let frames = sample_frames();
-        let frame = &frames[kind_index % frames.len()];
-        let mut bytes = encode_frame_at(frame, MIN_PROTOCOL_VERSION);
-        let position = ((bytes.len() as f64) * position_fraction) as usize % bytes.len();
-        bytes[position] ^= flip;
-        match decode_frame(&bytes) {
-            Ok(_) | Err(NetError::Codec(_)) | Err(NetError::Frame { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn old_minor_version_frames_roundtrip_with_neutral_defaults(
-        kind_index in 0usize..10,
-    ) {
-        // A version-1 encoding drops the v2-only fields; decoding it must
-        // report version 1, fill the dropped fields with neutral defaults,
-        // and re-encode byte-identically (proof nothing else was touched).
-        let frames = sample_frames();
-        let frame = &frames[kind_index % frames.len()];
-        let v1_bytes = encode_frame_at(frame, MIN_PROTOCOL_VERSION);
-        let (decoded, version) = decode_frame_versioned(&v1_bytes).unwrap();
-        prop_assert_eq!(version, MIN_PROTOCOL_VERSION);
-        prop_assert_eq!(&encode_frame_at(&decoded, MIN_PROTOCOL_VERSION), &v1_bytes);
-
-        // The current encoding of the same frame roundtrips losslessly.
-        let v2_bytes = encode_frame_at(frame, PROTOCOL_VERSION);
-        let (decoded, version) = decode_frame_versioned(&v2_bytes).unwrap();
-        prop_assert_eq!(version, PROTOCOL_VERSION);
-        prop_assert_eq!(&decoded, frame);
-    }
-
-    #[test]
-    fn random_bytes_never_panic_the_stream_reader(
-        len in 0usize..256,
-        seed in 0u64..u64::MAX,
-    ) {
-        // Arbitrary garbage: must produce SOME result without panicking,
-        // with allocations bounded by the frame limit.
-        let mut state = seed | 1;
-        let bytes: Vec<u8> = (0..len)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 56) as u8
-            })
-            .collect();
-        let mut cursor = std::io::Cursor::new(bytes);
-        let _ = read_frame(&mut cursor, 4096);
-    }
 }

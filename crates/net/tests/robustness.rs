@@ -5,7 +5,7 @@
 //! a server death-and-restart on the same port.
 
 use ff_models::small_mlp;
-use ff_net::protocol::{decode_frame_versioned, read_frame, write_frame, write_frame_at, Frame};
+use ff_net::protocol::{read_frame, read_frame_meta, write_frame, write_frame_at, Frame};
 use ff_net::{
     AdmissionConfig, Client, ClientConfig, ErrorCode, NetConfig, NetError, NetServer, RetryPolicy,
     WireHealthState, DEFAULT_MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
@@ -36,16 +36,6 @@ fn base_config() -> NetConfig {
         },
         ..NetConfig::default()
     }
-}
-
-/// Reads one length-prefixed reply without [`read_frame`] so the decoded
-/// protocol version stays observable.
-fn read_reply_versioned(stream: &mut TcpStream) -> (Frame, u16) {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).unwrap();
-    let mut bytes = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut bytes).unwrap();
-    decode_frame_versioned(&bytes).unwrap()
 }
 
 #[test]
@@ -296,7 +286,7 @@ fn version_1_clients_are_still_served() {
         DEFAULT_MAX_FRAME_BYTES,
     )
     .unwrap();
-    let (reply, version) = read_reply_versioned(&mut stream);
+    let (reply, version, _) = read_frame_meta(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
     assert_eq!(version, MIN_PROTOCOL_VERSION, "reply must match the peer");
     match reply {
         Frame::Labels { id, labels } => {
@@ -314,7 +304,7 @@ fn version_1_clients_are_still_served() {
         DEFAULT_MAX_FRAME_BYTES,
     )
     .unwrap();
-    let (reply, version) = read_reply_versioned(&mut stream);
+    let (reply, version, _) = read_frame_meta(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
     assert_eq!(version, MIN_PROTOCOL_VERSION);
     match reply {
         Frame::HealthReply {

@@ -6,7 +6,6 @@ use crate::suq::{compute_scale, quantize_slice, QuantConfig, Rounding, QMAX, QMI
 use crate::Result;
 use ff_tensor::{Tensor, TensorError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An INT8-quantized tensor with symmetric per-tensor scale.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantTensor {
     shape: Vec<usize>,
     codes: Vec<i8>,

@@ -7,7 +7,6 @@
 //! reproduce those measurements.
 
 use ff_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-width histogram over a tensor's values.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let hist = GradientHistogram::from_tensor(&g, 4);
 /// assert_eq!(hist.counts().iter().sum::<usize>(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientHistogram {
     lo: f32,
     hi: f32,
@@ -94,7 +93,7 @@ impl GradientHistogram {
 }
 
 /// Summary statistics of a gradient tensor's distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributionStats {
     /// Arithmetic mean.
     pub mean: f32,

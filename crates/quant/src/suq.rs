@@ -1,7 +1,6 @@
 //! Symmetric uniform quantization primitives.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Largest representable quantized magnitude (symmetric range `[-127, 127]`).
 pub const QMAX: i8 = 127;
@@ -13,7 +12,7 @@ pub const QMIN: i8 = -127;
 /// The FF-INT8 paper uses *stochastic* rounding for gradients (following
 /// Gupta et al., 2015) because it is unbiased in expectation, and nearest
 /// rounding for weights and activations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
     /// Round to the nearest grid point (ties away from zero).
     #[default]
@@ -69,7 +68,7 @@ impl Rounding {
 /// let cfg = QuantConfig::new(Rounding::Stochastic).with_clip(Some(1.0));
 /// assert_eq!(cfg.clip, Some(1.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QuantConfig {
     /// Rounding mode applied to every element.
     pub rounding: Rounding,

@@ -3,7 +3,7 @@
 //! Both the fp32 kernels in [`crate::linalg`] and the packed INT8 engine in
 //! `ff-quant` — whether its operands are packed per call or served from a
 //! cached plan — split their output matrix into contiguous panels of rows
-//! and hand each panel to a worker thread (via `crossbeam::scope`). This
+//! and hand each panel to a worker thread (via `std::thread::scope`). This
 //! module centralises that pattern so thresholds, thread-count selection and
 //! panel alignment behave identically everywhere.
 //!
@@ -105,23 +105,22 @@ where
     }
     let rows_per_panel = rows.div_ceil(threads).div_ceil(granule) * granule;
     let chunk = rows_per_panel * row_width;
-    crossbeam::scope(|scope| match aux {
+    std::thread::scope(|scope| match aux {
         Some(aux) => {
             for (idx, (panel, aux_panel)) in
                 out.chunks_mut(chunk).zip(aux.chunks_mut(chunk)).enumerate()
             {
                 let body = &body;
-                scope.spawn(move |_| body(idx * rows_per_panel, panel, Some(aux_panel)));
+                scope.spawn(move || body(idx * rows_per_panel, panel, Some(aux_panel)));
             }
         }
         None => {
             for (idx, panel) in out.chunks_mut(chunk).enumerate() {
                 let body = &body;
-                scope.spawn(move |_| body(idx * rows_per_panel, panel, None));
+                scope.spawn(move || body(idx * rows_per_panel, panel, None));
             }
         }
-    })
-    .expect("shard_rows worker thread panicked");
+    });
     Ok(())
 }
 

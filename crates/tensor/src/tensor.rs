@@ -1,5 +1,4 @@
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major `f32` tensor of arbitrary rank.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

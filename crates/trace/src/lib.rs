@@ -33,6 +33,8 @@
 //! collect stamps from coordinator *and* workers, and [`WindowedSeries`]
 //! turns any registry's lifetime totals into per-window rates and
 //! percentiles, surfaced by [`MetricsExporter::bind_windowed`].
+//! [`WireCounters`] gives both wire protocols one per-kind frame/byte
+//! ledger (`net.wire.<kind>.*`, `dist.wire.<kind>.*`).
 //!
 //! # Examples
 //!
@@ -69,6 +71,7 @@ mod registry;
 mod series;
 mod stage;
 mod trace;
+mod wire;
 
 pub use cluster::{ClusterFlightRecorder, ClusterSpan, ShardSpan};
 pub use exporter::MetricsExporter;
@@ -79,3 +82,4 @@ pub use registry::{
 pub use series::WindowedSeries;
 pub use stage::{Stage, StageHistograms, StageSummaries, STAGE_COUNT};
 pub use trace::{RequestTrace, TraceHandle, TraceSettings};
+pub use wire::WireCounters;

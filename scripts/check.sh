@@ -103,3 +103,6 @@ if [[ "$fast" -eq 0 ]]; then
 fi
 
 echo "All checks passed."
+
+# Line counts, for information only (not a gate).
+scripts/loc.sh
